@@ -1,11 +1,12 @@
 # Developer entry points. CI (.github/workflows/ci.yml) fans these out
-# across parallel jobs — lint (vet+build), test, race, bench-smoke,
-# fuzz-smoke, and golden-check — instead of one serial `make ci`; the
-# aggregate `ci` target remains the local equivalent of the full matrix.
+# across parallel jobs — lint (vet+build), test, perfbench-test, race,
+# bench-smoke, fuzz-smoke, and golden-check — instead of one serial
+# `make ci`; the aggregate `ci` target remains the local equivalent of
+# the full matrix.
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench bench-json scale-json scale-smoke wire-json wire-smoke wire-multipath-smoke policy-json policy-smoke shard-determinism experiments metrics fuzz-smoke golden-check invariant-sweep multipath-chaos cover ci
+.PHONY: all build vet test perfbench-test race bench-smoke bench bench-json scale-json scale-smoke wire-json wire-smoke wire-multipath-smoke policy-json policy-smoke shard-determinism experiments metrics fuzz-smoke golden-check invariant-sweep multipath-chaos cover ci
 
 all: vet build test
 
@@ -17,6 +18,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark (perfbench/) is a module of its own, so `go test ./...`
+# at the root does not reach its tests: the workload invariants, the
+# wire-vs-simulator decision check forward-mix relies on, and the
+# one-line result format.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # The parallel experiment runner is the repo's only intentional
 # concurrency; -race on every change keeps it honest.
@@ -210,4 +218,4 @@ cover:
 golden-check: experiments
 	git diff --exit-code EXPERIMENTS.md
 
-ci: vet build test race bench-smoke fuzz-smoke golden-check invariant-sweep multipath-chaos shard-determinism scale-smoke wire-smoke wire-multipath-smoke policy-smoke
+ci: vet build test perfbench-test race bench-smoke fuzz-smoke golden-check invariant-sweep multipath-chaos shard-determinism scale-smoke wire-smoke wire-multipath-smoke policy-smoke

@@ -26,20 +26,20 @@ import (
 )
 
 // decode splits a packet into its TIP and (optional) TTP headers for
-// classification. Returns nil tip on undecodable input.
-func decode(data []byte) (*packet.TIP, *packet.TTP) {
-	var tip packet.TIP
+// classification, decoding into tip and ttp. Callers pass new values made
+// in the call, which stay on their stack: classifying a packet allocates
+// nothing. Returns nil tip on undecodable input.
+func decode(data []byte, tip *packet.TIP, ttp *packet.TTP) (*packet.TIP, *packet.TTP) {
 	if err := tip.DecodeFrom(data); err != nil {
 		return nil, nil
 	}
 	if tip.Proto != packet.LayerTypeTTP {
-		return &tip, nil
+		return tip, nil
 	}
-	var ttp packet.TTP
 	if err := ttp.DecodeFrom(tip.LayerPayload()); err != nil {
-		return &tip, nil
+		return tip, nil
 	}
-	return &tip, &ttp
+	return tip, ttp
 }
 
 // PortFirewall blocks a configured set of transport ports — the blunt
@@ -71,7 +71,7 @@ func (f *PortFirewall) Process(node topology.NodeID, dir netsim.Direction, data 
 	if f.BlockInbound && dir != netsim.Delivering {
 		return nil, netsim.Accept
 	}
-	_, ttp := decode(data)
+	_, ttp := decode(data, new(packet.TIP), new(packet.TTP))
 	if ttp == nil {
 		return nil, netsim.Accept
 	}
@@ -134,7 +134,7 @@ func (f *TrustFirewall) Process(node topology.NodeID, dir netsim.Direction, data
 	if dir != netsim.Delivering {
 		return nil, netsim.Accept
 	}
-	tip, _ := decode(data)
+	tip, _ := decode(data, new(packet.TIP), new(packet.TTP))
 	if tip == nil {
 		return nil, netsim.Accept
 	}
@@ -191,7 +191,7 @@ func (f *PolicyFirewall) Silent() bool { return f.Quiet }
 
 // buildEnv exposes packet attributes to the policy evaluator.
 func buildEnv(dir netsim.Direction, data []byte) policy.Env {
-	tip, ttp := decode(data)
+	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
 	env := policy.Env{}
 	if tip == nil {
 		return env

@@ -61,7 +61,7 @@ func (f *NegotiableFirewall) Process(node topology.NodeID, dir netsim.Direction,
 	if dir != netsim.Delivering {
 		return nil, netsim.Accept
 	}
-	tip, ttp := decode(data)
+	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
 	if tip == nil || ttp == nil {
 		return nil, netsim.Accept
 	}

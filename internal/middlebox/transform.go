@@ -36,7 +36,7 @@ func (n *NAT) Silent() bool { return false }
 
 // Process implements netsim.Middlebox.
 func (n *NAT) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data)
+	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
 	if tip == nil || ttp == nil {
 		return nil, netsim.Accept
 	}
@@ -113,7 +113,7 @@ func (r *Redirector) Silent() bool { return r.Quiet }
 
 // Process implements netsim.Middlebox.
 func (r *Redirector) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data)
+	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
 	if tip == nil || ttp == nil || ttp.DstPort != r.MatchPort || tip.Dst == r.To {
 		return nil, netsim.Accept
 	}
@@ -153,7 +153,7 @@ func (w *Wiretap) Silent() bool { return true }
 
 // Process implements netsim.Middlebox.
 func (w *Wiretap) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data)
+	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
 	if tip == nil {
 		return nil, netsim.Accept
 	}
@@ -207,7 +207,7 @@ func (e *EncryptionBlocker) Silent() bool { return e.Quiet }
 
 // Process implements netsim.Middlebox.
 func (e *EncryptionBlocker) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data)
+	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
 	if tip == nil {
 		return nil, netsim.Accept
 	}

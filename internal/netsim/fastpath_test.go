@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
@@ -173,6 +175,68 @@ func TestMiddleboxChainDirFlipToForwarding(t *testing.T) {
 	}
 	if len(before.dirs) != 1 || before.dirs[0] != Delivering {
 		t.Fatalf("pre-transform box ran %v, want exactly one Delivering pass", before.dirs)
+	}
+}
+
+// TestOriginationDirection pins the kernel's Sending path, which only
+// the simulator takes (the wire engine sees arrivals only): the origin
+// does not decrement the TTL and records no "forward" event, its
+// middleboxes see Sending, a rewrite to the origin itself delivers
+// there, and a rewrite elsewhere keeps the packet Sending.
+func TestOriginationDirection(t *testing.T) {
+	cases := []struct {
+		name    string
+		dst     topology.NodeID
+		ttl     uint8
+		rewrite packet.Addr // AddrNone: no rewriting box at the origin
+		after   Direction   // what a box behind the rewrite sees
+		actions string      // trace as action@node
+		gotTTL  uint8       // TTL of the delivered bytes
+	}{
+		{"plain", 3, 8, packet.AddrNone, Sending, "send@1 forward@2 deliver@3", 7},
+		{"ttl-1-to-neighbor", 2, 1, packet.AddrNone, Sending, "send@1 deliver@2", 1},
+		{"rewrite-to-origin", 3, 8, packet.MakeAddr(1, 1), Delivering, "send@1 deliver@1", 8},
+		{"rewrite-away", 3, 8, packet.MakeAddr(4, 1), Sending, "send@1 forward@2 forward@3 deliver@4", 6},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, sched := linearNet(t, 4)
+			before, after := &tagBox{name: "before"}, &tagBox{name: "after"}
+			origin := n.Node(1)
+			origin.AddMiddlebox(before)
+			if c.rewrite != packet.AddrNone {
+				origin.AddMiddlebox(&redirBox{to: c.rewrite})
+			}
+			origin.AddMiddlebox(after)
+			var gotTTL uint8
+			for id := topology.NodeID(1); id <= 4; id++ {
+				n.Node(id).Deliver = func(_ *Node, _ *Trace, data []byte) {
+					var tip packet.TIP
+					if err := tip.DecodeFrom(data); err != nil {
+						t.Fatalf("delivered bytes do not decode: %v", err)
+					}
+					gotTTL = tip.TTL
+				}
+			}
+			tr := n.Send(1, rawPacket(t, 1, c.dst, c.ttl, 8))
+			sched.Run()
+			var actions []string
+			for _, ev := range tr.Events {
+				actions = append(actions, fmt.Sprintf("%s@%d", ev.Action, ev.Node))
+			}
+			if got := strings.Join(actions, " "); got != c.actions {
+				t.Errorf("trace %q, want %q", got, c.actions)
+			}
+			if gotTTL != c.gotTTL {
+				t.Errorf("delivered TTL %d, want %d", gotTTL, c.gotTTL)
+			}
+			if len(before.dirs) != 1 || before.dirs[0] != Sending {
+				t.Errorf("first box saw %v, want [send]", before.dirs)
+			}
+			if len(after.dirs) != 1 || after.dirs[0] != c.after {
+				t.Errorf("box behind the rewrite saw %v, want [%v]", after.dirs, c.after)
+			}
+		})
 	}
 }
 

@@ -226,13 +226,16 @@ type Network struct {
 	obs    *netObs
 	tracer *obs.Tracer
 
-	// addrShift maps a packet address to its destination node: the node
-	// for address a is uint32(a) >> addrShift. The default (16) is the
-	// classic provider-number scheme — the top 16 bits of the address
-	// name the node. WideAddressing sets it to 0, making the full 32-bit
-	// address the node number, so wide simulations address 10^5+ nodes
-	// without changing the wire format.
-	addrShift uint8
+	// hop holds the network-wide part of every node's kernel view: the
+	// adjacency test, the reason interner, the middlebox hook (nil while
+	// obs is off) and the address shift. AddrShift maps a packet address
+	// to its destination node: the node for address a is
+	// uint32(a) >> AddrShift. The default (16) is the classic
+	// provider-number scheme — the top 16 bits of the address name the
+	// node. WideAddressing sets it to 0, making the full 32-bit address
+	// the node number, so wide simulations address 10^5+ nodes without
+	// changing the wire format.
+	hop NodeView
 
 	// keyed switches the network to deterministic keyed event ordering:
 	// every arrival is scheduled with a key derived from (origin node,
@@ -259,11 +262,9 @@ type Network struct {
 	// traceFree recycles traces for fire-and-forget Inject traffic.
 	traceFree []*Trace
 
-	// dropKeys/blockedKeys/malformedKeys intern hot-path counter and
-	// trace strings so drops do not concatenate on every packet.
-	dropKeys      *sim.KeyCache
-	blockedKeys   *sim.KeyCache
-	malformedKeys *sim.KeyCache
+	// dropKeys interns hot-path counter strings so drops do not
+	// concatenate on every packet.
+	dropKeys *sim.KeyCache
 
 	// Stats aggregates network-wide counters.
 	Stats sim.Counter
@@ -295,12 +296,10 @@ func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 		MaxQueue:      100 * sim.Millisecond,
 		HopProcessing: 10 * sim.Microsecond,
 		TraceEventCap: 8,
-		addrShift:     16,
 		Stats:         sim.Counter{},
 		dropKeys:      sim.NewKeyCache("drop:"),
-		blockedKeys:   sim.NewKeyCache("blocked:"),
-		malformedKeys: sim.NewKeyCache("malformed-after:"),
 	}
+	n.hop = NodeView{AddrShift: 16, Link: n.linkIndex, Reasons: NewReasonKeys()}
 	// Flat node arena in ascending ID order; the map indexes into it.
 	ids := g.NodeIDs()
 	n.nodeArr = make([]Node, len(ids))
@@ -322,18 +321,12 @@ func build(sched *sim.Scheduler, g *topology.Graph, lean bool) *Network {
 // top 16 provider bits). Call it before any traffic is sent. Wide mode is
 // for generated ISP-scale topologies; source-route options still carry
 // provider-style waypoints and are not supported in wide mode.
-func (n *Network) WideAddressing() { n.addrShift = 0 }
-
-// dstNode maps a packet destination address to the node that owns it
-// under the network's addressing mode.
-func (n *Network) dstNode(a packet.Addr) topology.NodeID {
-	return topology.NodeID(uint32(a) >> n.addrShift)
-}
+func (n *Network) WideAddressing() { n.hop.AddrShift = 0 }
 
 // AddrOf returns the packet address a packet must carry to be delivered
 // at node id under the network's addressing mode.
 func (n *Network) AddrOf(id topology.NodeID) packet.Addr {
-	return packet.Addr(uint32(id) << n.addrShift)
+	return packet.Addr(uint32(id) << n.hop.AddrShift)
 }
 
 // nextKey allocates the next deterministic ordering key for an event
@@ -385,8 +378,12 @@ func (o *netObs) dropCounter(reason string) *obs.Counter {
 // tracer disables observability again.
 func (n *Network) AttachObs(reg *obs.Registry, tr *obs.Tracer) {
 	n.tracer = tr
+	n.obs = nil
+	n.hop.OnMbox = nil
+	if reg != nil || tr != nil {
+		n.hop.OnMbox = n.observeMbox
+	}
 	if reg == nil {
-		n.obs = nil
 		return
 	}
 	n.obs = &netObs{
@@ -401,6 +398,25 @@ func (n *Network) AttachObs(reg *obs.Registry, tr *obs.Tracer) {
 		latency:   reg.Histogram("netsim.packet_latency_ns", obs.TimeBucketsNs),
 		hops:      reg.Histogram("netsim.packet_hops", obs.CountBuckets),
 		dropBy:    make(map[string]*obs.Counter),
+	}
+}
+
+// observeMbox is the kernel's middlebox hook while obs is on: it counts
+// each run and rewrite, and traces a rewrite — naming the device only
+// when it is loud, mirroring the drop-report rule.
+func (n *Network) observeMbox(node topology.NodeID, m Middlebox, rewrote bool) {
+	if n.obs != nil {
+		n.obs.mboxRuns.Inc()
+		if rewrote {
+			n.obs.rewrites.Inc()
+		}
+	}
+	if rewrote && n.tracer.Enabled() {
+		detail := ""
+		if !m.Silent() {
+			detail = m.Name()
+		}
+		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "mbox-rewrite", Node: int64(node), Detail: detail})
 	}
 }
 
@@ -586,6 +602,9 @@ type flight struct {
 	// pooled marks fire-and-forget flights whose Trace returns to the
 	// network's trace pool on termination.
 	pooled bool
+	// raw marks a packet entering the network: its bytes are decoded at
+	// its first step.
+	raw bool
 }
 
 // newFlight returns a recycled or fresh flight context.
@@ -628,10 +647,11 @@ func (n *Network) newTrace() *Trace {
 // step runs the flight's packet through the node it has arrived at. It is
 // scheduled via f.run for every hop.
 func (f *flight) step() {
-	if f.dir == Sending {
-		if !f.pooled {
-			f.t.record(f.net.Sched.Now(), f.node.ID, "send", "")
-		}
+	if f.dir == Sending && !f.pooled {
+		f.t.record(f.net.Sched.Now(), f.node.ID, "send", "")
+	}
+	if f.raw {
+		f.raw = false
 		if err := f.tip.DecodeReuse(f.data); err != nil {
 			f.net.dropFlight(f, f.node.ID, "malformed")
 			return
@@ -640,28 +660,37 @@ func (f *flight) step() {
 	f.node.process(f)
 }
 
-// Send injects a packet at node src. The returned Trace fills in as the
-// simulation runs; inspect it after the scheduler drains.
-func (n *Network) Send(src topology.NodeID, data []byte) *Trace {
-	t := &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
-	f := n.newFlight()
-	f.t = t
-	f.data = data
-	f.node = n.Node(src)
-	f.dir = Sending
+// launch schedules a packet entering the network at node id for its
+// first step now: dir is Sending for a packet the node originates, or
+// Forwarding for bytes arriving off a wire. Either way the entry counts
+// and traces as a send, which keeps packet conservation accountable:
+// every termination stems from exactly one send or dup.
+func (n *Network) launch(f *flight, id topology.NodeID, dir Direction) {
+	f.node = n.Node(id)
+	f.dir = dir
 	f.hops = 0
+	f.raw = true
 	if n.obs != nil {
 		n.obs.sends.Inc()
 	}
 	if n.tracer.Enabled() {
-		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "send", Node: int64(src)})
+		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "send", Node: int64(id)})
 	}
 	if n.keyed {
-		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(src), f.run)
+		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(id), f.run)
 	} else {
 		n.Sched.After(0, f.run)
 	}
-	return t
+}
+
+// Send injects a packet at node src. The returned Trace fills in as the
+// simulation runs; inspect it after the scheduler drains.
+func (n *Network) Send(src topology.NodeID, data []byte) *Trace {
+	f := n.newFlight()
+	f.t = &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
+	f.data = data
+	n.launch(f, src, Sending)
+	return f.t
 }
 
 // Inject sends a packet at src fire-and-forget: the bytes are copied
@@ -675,65 +704,28 @@ func (n *Network) Inject(src topology.NodeID, data []byte) {
 	f.pooled = true
 	f.buf = append(f.buf[:0], data...)
 	f.data = f.buf
-	f.node = n.Node(src)
-	f.dir = Sending
-	f.hops = 0
-	if n.obs != nil {
-		n.obs.sends.Inc()
-	}
-	if n.tracer.Enabled() {
-		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "send", Node: int64(src)})
-	}
-	if n.keyed {
-		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(src), f.run)
-	} else {
-		n.Sched.After(0, f.run)
-	}
+	n.launch(f, src, Sending)
 }
 
 // InjectArrival presents raw wire bytes to node id exactly as a transit
 // arrival: the node decodes them, runs its middlebox chain, and then
-// delivers, forwards, or drops — the same decision sequence a live UDP
-// engine makes for a datagram hitting that node's socket. This is the
+// delivers, forwards, or drops — the same forwarding kernel a live UDP
+// engine runs for a datagram hitting that node's socket. This is the
 // differential-twin seam: internal/wire feeds identical bytes to its
 // dataplane and to InjectArrival and asserts the decision logs match.
 //
-// Unlike Send, the bytes are decoded before any processing (a wire
-// datagram arrives unparsed), so malformed input terminates with a
+// Unlike Send, the packet is an arrival, not an origination, so it
+// records no "send" trace event, and malformed input terminates with a
 // "malformed" drop at id — mirroring the wire engine's sanity filter and
 // decode rejections. The bytes are copied; the caller's slice may be
 // reused immediately. The returned Trace fills in as the scheduler runs.
 func (n *Network) InjectArrival(id topology.NodeID, data []byte) *Trace {
-	t := &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
 	f := n.newFlight()
-	f.t = t
+	f.t = &Trace{SentAt: n.Sched.Now(), Events: make([]TraceEvent, 0, n.TraceEventCap)}
 	f.buf = append(f.buf[:0], data...)
 	f.data = f.buf
-	f.node = n.Node(id)
-	f.dir = Forwarding
-	f.hops = 0
-	if n.obs != nil {
-		n.obs.sends.Inc()
-	}
-	if n.tracer.Enabled() {
-		// Arrivals enter the network without an originating Send; emitting
-		// the "send" event here keeps packet conservation accountable (every
-		// termination stems from exactly one send, dup, or arrival).
-		n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "send", Node: int64(id)})
-	}
-	run := func() {
-		if err := f.tip.DecodeReuse(f.data); err != nil {
-			f.net.dropFlight(f, f.node.ID, "malformed")
-			return
-		}
-		f.node.process(f)
-	}
-	if n.keyed {
-		n.Sched.AtKeyed(n.Sched.Now(), n.nextKey(id), run)
-	} else {
-		n.Sched.After(0, run)
-	}
-	return t
+	n.launch(f, id, Forwarding)
+	return f.t
 }
 
 // AtNode schedules a user callback (typically a traffic generator's next
@@ -773,9 +765,14 @@ func (n *Network) dropFlight(f *flight, node topology.NodeID, reason string) {
 	n.releaseFlight(f)
 }
 
-// process runs a packet through a node: middleboxes, then delivery or
-// forwarding. The flight's decoded header is trusted (no per-hop decode);
-// it is re-decoded only after a middlebox transform.
+// srcRouteCounters names the node counter of each source-route outcome.
+var srcRouteCounters = [...]string{SourceRouteHonored: "srcroute_honored", SourceRouteDenied: "srcroute_denied", SourceRouteUnpaid: "srcroute_unpaid"}
+
+// process runs a packet through a node: the forwarding kernel decides,
+// and process acts on the decision — node crashes, traces, counters and
+// link transmission are the simulator's own. The flight's decoded header
+// is trusted (no per-hop decode); the kernel re-decodes only after a
+// middlebox transform.
 func (nd *Node) process(f *flight) {
 	n := nd.Net
 	// A crashed node neither forwards, delivers, nor originates. The drop
@@ -786,62 +783,34 @@ func (nd *Node) process(f *flight) {
 		n.dropFlight(f, nd.ID, "node-down")
 		return
 	}
-	dir := f.dir
-	if dir != Sending {
-		if n.dstNode(f.tip.Dst) == nd.ID {
-			dir = Delivering
-		} else {
-			dir = Forwarding
+	v := n.hop
+	v.ID, v.Route, v.Middleboxes = nd.ID, nd.Route, nd.Middleboxes
+	v.HonorSourceRoutes, v.RequirePaymentForSourceRoute = nd.HonorSourceRoutes, nd.RequirePaymentForSourceRoute
+	v.SourceRoutePolicy, v.PolicySlots = nd.srcRoutePolicy, nd.srcRouteSlots
+	dec := v.Decide(&f.tip, f.data, f.dir)
+	if dec.Transit {
+		// Recorded before a routing drop at this node, as the forward
+		// happened: the TTL was spent.
+		if !f.pooled {
+			f.t.record(n.Sched.Now(), nd.ID, "forward", "")
 		}
-	}
-	// Middlebox chain (single-pass: see the Middlebox interface comment).
-	for _, m := range nd.Middleboxes {
+		if nd.Counters != nil {
+			nd.Counters.Inc("forwarded")
+		}
+		f.hops++
 		if n.obs != nil {
-			n.obs.mboxRuns.Inc()
-		}
-		out, verdict := m.Process(nd.ID, dir, f.data)
-		if verdict == Drop {
-			if nd.Counters != nil {
-				nd.Counters.Inc("mbox_drop")
-			}
-			if n.obs != nil {
-				n.obs.mboxDrops.Inc()
-			}
-			reason := "lost"
-			if !m.Silent() {
-				reason = n.blockedKeys.Key(m.Name())
-			}
-			n.dropFlight(f, nd.ID, reason)
-			return
-		}
-		if out != nil {
-			f.data = out
-			if n.obs != nil {
-				n.obs.rewrites.Inc()
-			}
-			if n.tracer.Enabled() {
-				// A silent device's rewrite stays anonymous in the event
-				// stream, mirroring the drop-report rule.
-				detail := ""
-				if !m.Silent() {
-					detail = m.Name()
-				}
-				n.tracer.Emit(obs.Event{Time: int64(n.Sched.Now()), Scope: "netsim", Kind: "mbox-rewrite", Node: int64(nd.ID), Detail: detail})
-			}
-			// Transformations may rewrite headers; re-decode to restore
-			// bytes/decoded-header coherence.
-			if err := f.tip.DecodeReuse(out); err != nil {
-				n.dropFlight(f, nd.ID, n.malformedKeys.Key(m.Name()))
-				return
-			}
-			if n.dstNode(f.tip.Dst) == nd.ID {
-				dir = Delivering
-			} else if dir == Delivering {
-				dir = Forwarding
-			}
+			n.obs.forwarded.Inc()
 		}
 	}
-	if dir == Delivering {
+	if nd.Counters != nil && dec.SourceRoute != SourceRouteUnused {
+		nd.Counters.Inc(srcRouteCounters[dec.SourceRoute])
+	}
+	switch dec.Kind {
+	case HopForward:
+		f.data = dec.Data
+		n.transmit(f, nd.ID, dec.Next, dec.Link)
+	case HopDeliver:
+		f.data = dec.Data
 		n.Delivered++
 		t := f.t
 		t.Delivered = true
@@ -864,105 +833,17 @@ func (nd *Node) process(f *flight) {
 			nd.Deliver(nd, t, f.data)
 		}
 		n.releaseFlight(f)
-		return
-	}
-	// Forwarding: TTL.
-	if dir == Forwarding {
-		ttl, err := packet.DecrementTTL(f.data)
-		if err != nil {
-			n.dropFlight(f, nd.ID, "malformed")
-			return
-		}
-		f.tip.TTL = ttl // keep the decoded header coherent with the bytes
-		if ttl == 0 {
-			n.dropFlight(f, nd.ID, "ttl")
-			return
-		}
-		if !f.pooled {
-			f.t.record(n.Sched.Now(), nd.ID, "forward", "")
-		}
-		if nd.Counters != nil {
-			nd.Counters.Inc("forwarded")
-		}
-		f.hops++
-		if n.obs != nil {
-			n.obs.forwarded.Inc()
-		}
-	}
-	next, ok := nd.nextHop(f)
-	if !ok {
-		n.dropFlight(f, nd.ID, "no-route")
-		return
-	}
-	li := n.linkIndex(nd.ID, next)
-	if li < 0 {
-		n.dropFlight(f, nd.ID, "bad-next-hop")
-		return
-	}
-	n.transmit(f, nd.ID, next, li)
-}
-
-// nextHop picks the egress neighbor, honoring source routes when the
-// node's policy allows it.
-func (nd *Node) nextHop(f *flight) (topology.NodeID, bool) {
-	tip := &f.tip
-	if nd.HonorSourceRoutes {
-		if wp, ok := packet.PeekSourceRoute(f.data); ok {
-			allowed := true
-			if nd.srcRoutePolicy != nil {
-				// Compiled admission policy: fail-safe deny, bounded by
-				// the per-packet budget. wire.Dataplane.nextHop runs the
-				// identical check at the identical point.
-				allowed = nd.srcRoutePolicy.Allow(nd.srcRouteSlots, tip, wp)
-				if !allowed && nd.Counters != nil {
-					nd.Counters.Inc("srcroute_denied")
-				}
-			} else if nd.RequirePaymentForSourceRoute && tip.Payment == nil {
-				allowed = false
-				if nd.Counters != nil {
-					nd.Counters.Inc("srcroute_unpaid")
-				}
+	default:
+		if dec.Drop == DropBlocked || dec.Drop == DropLost {
+			if nd.Counters != nil {
+				nd.Counters.Inc("mbox_drop")
 			}
-			if allowed {
-				if wp == packet.MakeAddr(uint16(nd.ID), 0) || wp.Provider() == uint16(nd.ID) {
-					// We are the current waypoint: advance to the next.
-					nxt, advanced, err := packet.AdvanceSourceRoute(f.data)
-					if err == nil {
-						// Mirror the in-place pointer bump into the
-						// decoded header (coherence rule).
-						if advanced && tip.SourceRoute != nil && !tip.SourceRoute.Exhausted() {
-							tip.SourceRoute.Ptr++
-						}
-						if nxt != packet.AddrNone {
-							wp = nxt
-						} else {
-							wp = tip.Dst // route exhausted: head to destination
-						}
-					}
-				}
-				if nd.Counters != nil {
-					nd.Counters.Inc("srcroute_honored")
-				}
-				// Route toward the waypoint's provider. If the waypoint is
-				// a direct neighbor, use it.
-				target := topology.NodeID(wp.Provider())
-				if target == nd.ID {
-					target = topology.NodeID(tip.Dst.Provider())
-				}
-				if nd.Net.linkIndex(nd.ID, target) >= 0 {
-					return target, true
-				}
-				if nd.Route != nil {
-					return nd.Route(packet.MakeAddr(uint16(target), 0), tip)
-				}
-				return 0, false
+			if n.obs != nil {
+				n.obs.mboxDrops.Inc()
 			}
 		}
+		n.dropFlight(f, nd.ID, dec.Reason)
 	}
-	if nd.Route == nil {
-		return 0, false
-	}
-	return nd.Route(tip.Dst, tip)
 }
 
 // transmit models link serialization + propagation + queueing. li is the

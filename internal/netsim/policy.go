@@ -12,8 +12,8 @@ import (
 // "design for choice" taken literally: the provider's side of the
 // source-routing tussle is an arbitrary stakeholder expression evaluated
 // per packet on the policy VM, not a hardcoded boolean. The same
-// compiled object drives netsim.Node.nextHop and wire.Dataplane.nextHop,
-// so the simulator and the live engine cannot disagree on admission.
+// compiled object is evaluated by the forwarding kernel (NodeView.Decide)
+// that the simulator and the live engine share.
 //
 // Policies are TPL expressions over a fixed per-packet vocabulary,
 // compiled once through the process-wide policy.DefaultCache (a million
@@ -107,9 +107,8 @@ func (p *SourceRoutePolicy) NewScratch() []policy.Value {
 }
 
 // Allow evaluates the policy for one packet. tip is the decoded header
-// (TTL already decremented, matching both engines' call sites); wp is
-// the pending source-route waypoint. Errors — including budget
-// exhaustion — deny.
+// (a transit packet's TTL already decremented); wp is the pending
+// source-route waypoint. Errors — including budget exhaustion — deny.
 func (p *SourceRoutePolicy) Allow(scratch []policy.Value, tip *packet.TIP, wp packet.Addr) bool {
 	for i, code := range p.codes {
 		switch code {

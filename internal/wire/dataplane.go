@@ -4,7 +4,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/policy"
 	"repro/internal/topology"
 )
 
@@ -36,26 +35,17 @@ type NodeConfig struct {
 	Peers []topology.NodeID
 }
 
-// Dataplane is the per-worker decision kernel: it turns raw datagram
-// bytes into a Decision using the identical sequence a netsim node
-// applies to a transit arrival — sanity filter, decode, middlebox
-// chain, delivery check, TTL decrement, then source-route-aware next-hop
-// selection. One Dataplane is owned by one worker goroutine; Process
-// reuses its decode scratch and allocates nothing.
+// Dataplane is one worker's adapter around the forwarding kernel
+// (netsim.NodeView.Decide) — the same code a netsim node decides with.
+// It adds only what the live engine owns: the raw-byte sanity filter and
+// decode ahead of the kernel, its per-decision counters, and the Decision
+// value. One Dataplane is owned by one worker goroutine; Process reuses
+// its decode scratch and allocates nothing.
 type Dataplane struct {
-	cfg  NodeConfig
+	view netsim.NodeView
 	peer []bool // dense adjacency, indexed by NodeID
 
-	// blockedReason/malformedReason are the per-middlebox interned drop
-	// strings, built once so Process never concatenates.
-	blockedReason   []string
-	malformedReason []string
-
 	tip packet.TIP // decode scratch, reused across packets
-
-	// srcSlots is this worker's source-route policy evaluation scratch
-	// (nil when no policy is configured).
-	srcSlots []policy.Value
 
 	o *dpObs // nil when observability is off (single nil check per site)
 }
@@ -73,9 +63,19 @@ type dpObs struct {
 	mboxDrops *obs.Counter
 }
 
-// NewDataplane builds the decision kernel for one node personality.
+// NewDataplane builds the kernel adapter for one node personality.
 func NewDataplane(cfg NodeConfig) *Dataplane {
-	d := &Dataplane{cfg: cfg}
+	d := &Dataplane{view: netsim.NodeView{
+		ID:                           cfg.ID,
+		Route:                        cfg.Route,
+		HonorSourceRoutes:            cfg.HonorSourceRoutes,
+		RequirePaymentForSourceRoute: cfg.RequirePaymentForSourceRoute,
+		SourceRoutePolicy:            cfg.SourceRoutePolicy,
+		Middleboxes:                  cfg.Middleboxes,
+		AddrShift:                    16, // provider addressing, the netsim default
+		Reasons:                      netsim.NewReasonKeys(),
+	}}
+	d.view.Link = d.link
 	maxID := cfg.ID
 	for _, p := range cfg.Peers {
 		if p > maxID {
@@ -86,26 +86,21 @@ func NewDataplane(cfg NodeConfig) *Dataplane {
 	for _, p := range cfg.Peers {
 		d.peer[p] = true
 	}
-	d.blockedReason = make([]string, len(cfg.Middleboxes))
-	d.malformedReason = make([]string, len(cfg.Middleboxes))
-	for i, m := range cfg.Middleboxes {
-		d.blockedReason[i] = "blocked:" + m.Name()
-		d.malformedReason[i] = "malformed-after:" + m.Name()
-	}
 	if cfg.SourceRoutePolicy != nil {
-		d.srcSlots = cfg.SourceRoutePolicy.NewScratch()
+		d.view.PolicySlots = cfg.SourceRoutePolicy.NewScratch()
 	}
 	return d
 }
 
 // Node returns the node identity this dataplane decides for.
-func (d *Dataplane) Node() topology.NodeID { return d.cfg.ID }
+func (d *Dataplane) Node() topology.NodeID { return d.view.ID }
 
 // AttachObs enables per-decision observability counters on reg; nil
 // disables them again.
 func (d *Dataplane) AttachObs(reg *obs.Registry) {
 	if reg == nil {
 		d.o = nil
+		d.view.OnMbox = nil
 		return
 	}
 	d.o = &dpObs{
@@ -117,164 +112,61 @@ func (d *Dataplane) AttachObs(reg *obs.Registry) {
 		rewrites:  reg.Counter("wire.mbox.rewrites"),
 		mboxDrops: reg.Counter("wire.mbox.drops"),
 	}
+	d.view.OnMbox = d.o.observeMbox
 }
 
-func (d *Dataplane) isPeer(id topology.NodeID) bool {
-	return int(id) < len(d.peer) && d.peer[id]
-}
-
-// dstNode maps a destination address to its owning node under the
-// provider addressing scheme (the top 16 bits name the node), matching
-// the netsim default.
-func dstNode(a packet.Addr) topology.NodeID {
-	return topology.NodeID(a.Provider())
-}
-
-// drop builds a Dropped decision without allocating.
-func (d *Dataplane) drop(kind DropKind, reason string) Decision {
-	if d.o != nil {
-		d.o.drops.Inc()
+// observeMbox is the kernel's middlebox hook while obs is on.
+func (o *dpObs) observeMbox(_ topology.NodeID, _ netsim.Middlebox, rewrote bool) {
+	o.mboxRuns.Inc()
+	if rewrote {
+		o.rewrites.Inc()
 	}
-	return Decision{Kind: Dropped, Drop: kind, Reason: reason}
+}
+
+// link is the kernel's adjacency test: a wire node has peers, not link
+// indexes, so any neighbor answers 0.
+func (d *Dataplane) link(_, to topology.NodeID) int32 {
+	if int(to) < len(d.peer) && d.peer[to] {
+		return 0
+	}
+	return -1
 }
 
 // Process decides one datagram's fate. data is the raw wire bytes (the
 // receive slot, sliced to the datagram length); it may be patched in
 // place (TTL decrement, source-route advance) and the returned
-// Decision.Data may alias it. The decision sequence — and every reason
-// string — is byte-identical to what netsim.InjectArrival at the same
-// node records, which the differential tests pin.
+// Decision.Data may alias it. The decision — and every reason string —
+// is the one netsim.InjectArrival at the same node records, since both
+// run the same kernel; the differential tests pin it.
 func (d *Dataplane) Process(data []byte) Decision {
-	if d.o != nil {
-		d.o.processed.Inc()
-	}
+	var dec Decision
 	// Cheap structural sanity before committing to a full decode. The
 	// filter is sound (never rejects decodable bytes), so folding its
 	// rejects into "malformed" keeps the decision vocabulary identical
 	// to the simulator, which only has the decoder.
-	if packet.Filter(data) != packet.FilterAccept {
-		return d.drop(DropMalformed, "malformed")
-	}
-	if err := d.tip.DecodeReuse(data); err != nil {
-		return d.drop(DropMalformed, "malformed")
-	}
-	nd := &d.cfg
-	dir := netsim.Forwarding
-	if dstNode(d.tip.Dst) == nd.ID {
-		dir = netsim.Delivering
-	}
-	// Middlebox chain: single-pass, installation order, direction
-	// recomputed after a rewrite — the netsim.Node.process semantics.
-	for i, m := range nd.Middleboxes {
-		if d.o != nil {
-			d.o.mboxRuns.Inc()
-		}
-		out, verdict := m.Process(nd.ID, dir, data)
-		if verdict == netsim.Drop {
-			if d.o != nil {
-				d.o.mboxDrops.Inc()
-			}
-			if m.Silent() {
-				return d.drop(DropLost, "lost")
-			}
-			return d.drop(DropBlocked, d.blockedReason[i])
-		}
-		if out != nil {
-			data = out
-			if d.o != nil {
-				d.o.rewrites.Inc()
-			}
-			if err := d.tip.DecodeReuse(out); err != nil {
-				return d.drop(DropMalformedAfter, d.malformedReason[i])
-			}
-			if dstNode(d.tip.Dst) == nd.ID {
-				dir = netsim.Delivering
-			} else if dir == netsim.Delivering {
-				dir = netsim.Forwarding
-			}
-		}
-	}
-	if dir == netsim.Delivering {
-		if d.o != nil {
-			d.o.delivered.Inc()
-		}
-		return Decision{Kind: Deliver, Data: data}
-	}
-	// Forwarding: TTL decrement (in place, checksum repaired), then
-	// next-hop selection.
-	ttl, err := packet.DecrementTTL(data)
-	if err != nil {
-		return d.drop(DropMalformed, "malformed")
-	}
-	d.tip.TTL = ttl // keep the decoded header coherent with the bytes
-	if ttl == 0 {
-		return d.drop(DropTTL, "ttl")
-	}
-	next, ok := d.nextHop(data)
-	if !ok {
-		return d.drop(DropNoRoute, "no-route")
-	}
-	if !d.isPeer(next) {
-		return d.drop(DropBadNextHop, "bad-next-hop")
+	if packet.Filter(data) != packet.FilterAccept || d.tip.DecodeReuse(data) != nil {
+		dec = Decision{Kind: Dropped, Drop: DropMalformed, Reason: DropMalformed.String()}
+	} else {
+		dec = d.view.Decide(&d.tip, data, netsim.Forwarding)
 	}
 	if d.o != nil {
-		d.o.forwarded.Inc()
+		d.o.count(dec)
 	}
-	return Decision{Kind: Forward, Next: next, Data: data}
+	return dec
 }
 
-// nextHop picks the egress neighbor, honoring source routes when policy
-// allows — a line-for-line mirror of netsim.Node.nextHop so the two
-// engines cannot disagree on routing.
-func (d *Dataplane) nextHop(data []byte) (topology.NodeID, bool) {
-	nd := &d.cfg
-	tip := &d.tip
-	if nd.HonorSourceRoutes {
-		if wp, ok := packet.PeekSourceRoute(data); ok {
-			allowed := true
-			if nd.SourceRoutePolicy != nil {
-				// Compiled admission policy: fail-safe deny, bounded by
-				// the per-packet budget — the netsim.Node.nextHop check,
-				// line for line.
-				allowed = nd.SourceRoutePolicy.Allow(d.srcSlots, tip, wp)
-			} else if nd.RequirePaymentForSourceRoute && tip.Payment == nil {
-				allowed = false
-			}
-			if allowed {
-				if wp == packet.MakeAddr(uint16(nd.ID), 0) || wp.Provider() == uint16(nd.ID) {
-					// We are the current waypoint: advance to the next.
-					nxt, advanced, err := packet.AdvanceSourceRoute(data)
-					if err == nil {
-						// Mirror the in-place pointer bump into the
-						// decoded header (coherence rule).
-						if advanced && tip.SourceRoute != nil && !tip.SourceRoute.Exhausted() {
-							tip.SourceRoute.Ptr++
-						}
-						if nxt != packet.AddrNone {
-							wp = nxt
-						} else {
-							wp = tip.Dst // route exhausted: head to destination
-						}
-					}
-				}
-				// Route toward the waypoint's provider. If the waypoint
-				// is a direct neighbor, use it.
-				target := topology.NodeID(wp.Provider())
-				if target == nd.ID {
-					target = topology.NodeID(tip.Dst.Provider())
-				}
-				if d.isPeer(target) {
-					return target, true
-				}
-				if nd.Route != nil {
-					return nd.Route(packet.MakeAddr(uint16(target), 0), tip)
-				}
-				return 0, false
-			}
+// count tallies one decision.
+func (o *dpObs) count(dec Decision) {
+	o.processed.Inc()
+	switch dec.Kind {
+	case Deliver:
+		o.delivered.Inc()
+	case Forward:
+		o.forwarded.Inc()
+	default:
+		o.drops.Inc()
+		if dec.Drop == DropBlocked || dec.Drop == DropLost {
+			o.mboxDrops.Inc()
 		}
 	}
-	if nd.Route == nil {
-		return 0, false
-	}
-	return nd.Route(tip.Dst, tip)
 }

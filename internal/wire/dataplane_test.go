@@ -234,33 +234,66 @@ func TestProcessZeroAllocWithPolicy(t *testing.T) {
 }
 
 // TestProcessZeroAlloc is the decision-kernel alloc gate: the
-// steady-state mix (forward, deliver, malformed) must not allocate, or
-// the engine's per-packet path regresses. The gate covers the
-// middlebox-free fast path — the same discipline as netsim's
-// TestForwardHopZeroAlloc; middlebox implementations decode on their
-// own dime in both engines.
+// steady-state mix must not allocate, or the engine's per-packet path
+// regresses — the same discipline as netsim's TestForwardHopZeroAlloc.
+// It is pinned at 0 allocs both without middleboxes (forward, deliver,
+// malformed) and through a chain of devices that classify without
+// rewriting: a port firewall accepting one packet and dropping another,
+// a redirector whose port does not match, and a wiretap whose MatchSrc
+// misses. A rewrite (a redirector hit) or a wiretap capture may still
+// allocate: it builds new bytes or grows the capture log.
 func TestProcessZeroAlloc(t *testing.T) {
-	dp := NewDataplane(testNodeConfig(nil))
-	fwd := rawPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(4, 1), 64, "forward me")
-	del := rawPkt(t, packet.MakeAddr(1, 1), packet.MakeAddr(2, 9), 64, "deliver me")
-	bad := []byte{0x18, 0x01, 0x02}
-	buf := make([]byte, len(fwd))
-	// Warm the decode scratch (first decode of each option shape may
-	// allocate the pooled structs).
-	dp.Process(append(buf[:0:len(buf)], fwd...))
-	allocs := testing.AllocsPerRun(300, func() {
-		copy(buf, fwd) // refill, as a receive slot would be
-		if dec := dp.Process(buf); dec.Kind != Forward {
-			t.Fatalf("forward packet decided %v", dec)
-		}
-		if dec := dp.Process(del); dec.Kind != Deliver {
-			t.Fatalf("deliver packet decided %v", dec)
-		}
-		if dec := dp.Process(bad); dec.Kind != Dropped {
-			t.Fatalf("malformed packet decided %v", dec)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Process costs %.1f allocs per 3-packet mix, want 0", allocs)
+	type pkt struct {
+		data []byte
+		want string
+	}
+	src := packet.MakeAddr(1, 1)
+	cases := []struct {
+		name   string
+		mboxes []netsim.Middlebox
+		pkts   []pkt
+	}{
+		{"no-middleboxes", nil, []pkt{
+			{rawPkt(t, src, packet.MakeAddr(4, 1), 64, "forward me"), "forward 3"},
+			{rawPkt(t, src, packet.MakeAddr(2, 9), 64, "deliver me"), "deliver"},
+			{[]byte{0x18, 0x01, 0x02}, "drop malformed"},
+		}},
+		{"middlebox-chain", []netsim.Middlebox{
+			&middlebox.PortFirewall{Label: "fw", BlockedPorts: map[uint16]bool{25: true}},
+			&middlebox.Redirector{Label: "redir", MatchPort: 8080, To: packet.MakeAddr(2, 99)},
+			&middlebox.Wiretap{Label: "tap", MatchSrc: 9},
+		}, []pkt{
+			{ttpPkt(t, packet.TIP{TTL: 64, Src: src, Dst: packet.MakeAddr(4, 1)}, 443, "accept me"), "forward 3"},
+			{ttpPkt(t, packet.TIP{TTL: 64, Src: src, Dst: packet.MakeAddr(4, 1)}, 25, "block me"), "drop blocked:fw"},
+			{rawPkt(t, src, packet.MakeAddr(2, 9), 64, "deliver me"), "deliver"},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dp := NewDataplane(testNodeConfig(c.mboxes))
+			bufs := make([][]byte, len(c.pkts))
+			kinds := make([]DecisionKind, len(c.pkts))
+			// The checked first pass also warms the decode scratch and
+			// the interned drop reasons.
+			for i, p := range c.pkts {
+				bufs[i] = append([]byte(nil), p.data...)
+				dec := dp.Process(bufs[i])
+				if got := dec.String(); got != p.want {
+					t.Fatalf("packet %d decided %q, want %q", i, got, p.want)
+				}
+				kinds[i] = dec.Kind
+			}
+			allocs := testing.AllocsPerRun(300, func() {
+				for i, p := range c.pkts {
+					copy(bufs[i], p.data) // refill, as a receive slot would be
+					if dec := dp.Process(bufs[i]); dec.Kind != kinds[i] {
+						t.Fatalf("packet %d decided %v, want %s", i, dec, p.want)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Process costs %.1f allocs per %d-packet mix, want 0", allocs, len(c.pkts))
+			}
+		})
 	}
 }

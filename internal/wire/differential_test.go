@@ -211,6 +211,38 @@ func TestDifferentialDecisions(t *testing.T) {
 	}
 }
 
+// TestDropKindReasonContract checks the drop vocabulary exhaustively:
+// every drop kind is produced by some packet of the golden corpus, every
+// reason emitted under a kind is the kind's String (or, for the
+// per-device kinds, that String and ":<device>"), and the committed
+// golden log records each such reason.
+func TestDropKindReasonContract(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden_decisions.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := NewDataplane(testNodeConfig(diffChain()))
+	reasons := make([][]string, DropKinds)
+	for _, pkt := range goldenStream(t) {
+		if dec := dp.Process(append([]byte(nil), pkt.data...)); dec.Kind == Dropped {
+			reasons[dec.Drop] = append(reasons[dec.Drop], dec.Reason)
+		}
+	}
+	for k := DropKind(0); k < DropKinds; k++ {
+		if len(reasons[k]) == 0 {
+			t.Errorf("drop kind %v: no packet in the golden corpus is dropped with it", k)
+		}
+		for _, r := range reasons[k] {
+			if r != k.String() && !strings.HasPrefix(r, k.String()+":") {
+				t.Errorf("drop kind %v emitted reason %q", k, r)
+			}
+			if !strings.Contains(string(golden), " drop "+r+"\n") {
+				t.Errorf("drop kind %v: reason %q is not in the golden decision log", k, r)
+			}
+		}
+	}
+}
+
 // TestDifferentialStateful pins the agreement for a stateful rewrite
 // sequence: a NAT translating an outbound flow, then un-translating the
 // reply — both engines must evolve the NAT state identically because

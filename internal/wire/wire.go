@@ -3,9 +3,10 @@
 // binds one socket per worker (SO_REUSEPORT on Linux), receives
 // datagrams in batches (recvmmsg/sendmmsg where available, a portable
 // single-syscall loop elsewhere), runs each through the cheap raw-byte
-// sanity filter (packet.Filter) and then a Dataplane — the same
-// middlebox chain, source-route policy, and routing decision sequence a
-// netsim node executes — and transmits forwards and echoes in batches.
+// sanity filter (packet.Filter) and then a Dataplane — an adapter around
+// netsim's forwarding kernel (netsim.NodeView.Decide), so the middlebox
+// chain, source-route policy and routing decision are the very code a
+// netsim node runs — and transmits forwards and echoes in batches.
 //
 // # Zero-allocation steady state
 //
@@ -14,8 +15,8 @@
 // decode scratch (DecodeReuse), preallocated batch headers, and a
 // per-reason stat table indexed by small integers — so the steady-state
 // recv→filter→decide→send path performs zero heap allocations per
-// packet. Drop reasons and middlebox-specific strings are interned at
-// Dataplane construction, never concatenated per packet.
+// packet. Drop reasons are literals, or per-middlebox strings interned
+// on their first use, never concatenated per packet.
 //
 // # Determinism twin
 //
@@ -23,105 +24,54 @@
 // any datagram bytes, Dataplane.Process and netsim.Network.InjectArrival
 // at the same node must produce the identical decision — deliver,
 // forward to the same next hop, or drop with the same reason, including
-// "malformed" for bytes the sanity filter or decoder rejects. The
-// differential tests in this package pin that contract with golden byte
-// streams (clean, malformed, and middlebox-rewritten); the invariant
-// machinery can therefore convict the live engine by replaying its
-// traffic through the sim.
+// "malformed" for bytes the sanity filter or decoder rejects. Both decide
+// through the one kernel, so what the differential tests in this package
+// pin is what each engine adds around it (the sanity filter and decode
+// here, the arrival path there), with golden byte streams (clean,
+// malformed, and middlebox-rewritten); the invariant machinery can
+// therefore convict the live engine by replaying its traffic through
+// the sim.
 package wire
 
-import (
-	"fmt"
-
-	"repro/internal/topology"
-)
+import "repro/internal/netsim"
 
 // DecisionKind classifies what the dataplane decided to do with a
-// datagram.
-type DecisionKind uint8
+// datagram: the forwarding kernel's own decision kinds.
+type DecisionKind = netsim.HopKind
 
 // Decision kinds.
 const (
 	// Deliver: the datagram terminates at this node.
-	Deliver DecisionKind = iota
+	Deliver = netsim.HopDeliver
 	// Forward: the datagram continues to Decision.Next.
-	Forward
+	Forward = netsim.HopForward
 	// Dropped: the datagram is discarded for Decision.Reason.
-	Dropped
+	Dropped = netsim.HopDrop
 )
 
-// DropKind indexes the fixed per-reason drop-statistics table. The
-// human-readable reason (including the middlebox name for blocked /
-// malformed-after drops) travels separately in Decision.Reason.
-type DropKind uint8
+// DropKind indexes the fixed per-reason drop-statistics table. It is the
+// forwarding kernel's drop vocabulary, so the engine and the simulator
+// count drops by the same kinds; the human-readable reason (including
+// the middlebox name for blocked / malformed-after drops) travels
+// separately in Decision.Reason.
+type DropKind = netsim.DropKind
 
-// Drop kinds, mirroring the netsim drop-reason vocabulary for the
-// decision paths a wire node shares with a sim node.
+// Drop kinds. DropMalformed also covers bytes the sanity filter rejects.
 const (
-	DropMalformed      DropKind = iota // filter or decoder rejected the bytes
-	DropTTL                            // TTL reached zero
-	DropNoRoute                        // no route to the destination
-	DropBadNextHop                     // routing chose a non-adjacent node
-	DropBlocked                        // a loud middlebox dropped it
-	DropLost                           // a silent middlebox dropped it
-	DropMalformedAfter                 // a middlebox rewrite produced undecodable bytes
+	DropMalformed      = netsim.DropMalformed
+	DropTTL            = netsim.DropTTL
+	DropNoRoute        = netsim.DropNoRoute
+	DropBadNextHop     = netsim.DropBadNextHop
+	DropBlocked        = netsim.DropBlocked
+	DropLost           = netsim.DropLost
+	DropMalformedAfter = netsim.DropMalformedAfter
 
 	// DropKinds is the number of distinct drop kinds (for stats arrays).
-	DropKinds
+	DropKinds = netsim.DropKinds
 )
 
-func (k DropKind) String() string {
-	switch k {
-	case DropMalformed:
-		return "malformed"
-	case DropTTL:
-		return "ttl"
-	case DropNoRoute:
-		return "no-route"
-	case DropBadNextHop:
-		return "bad-next-hop"
-	case DropBlocked:
-		return "blocked"
-	case DropLost:
-		return "lost"
-	case DropMalformedAfter:
-		return "malformed-after"
-	default:
-		return "unknown"
-	}
-}
-
-// Decision is the dataplane's verdict on one datagram. It is a value
-// type: producing one allocates nothing, and Reason is always an
-// interned string (a literal or a string prebuilt per middlebox at
-// Dataplane construction).
-type Decision struct {
-	Kind DecisionKind
-	// Next is the chosen next-hop node when Kind == Forward.
-	Next topology.NodeID
-	// Reason is the drop reason when Kind == Dropped, in the netsim
-	// vocabulary: "malformed", "ttl", "no-route", "bad-next-hop",
-	// "blocked:<name>", "lost", "malformed-after:<name>".
-	Reason string
-	// Drop is the stats-table index for the drop reason.
-	Drop DropKind
-	// Data is the datagram to transmit onward: the (possibly
-	// middlebox-rewritten, TTL-patched) bytes. It may alias the input
-	// buffer or a middlebox's own buffer; it is valid until the next
-	// Process call on the same Dataplane.
-	Data []byte
-}
-
-// String renders the decision in the differential-log vocabulary shared
-// with the simulator: "deliver", "forward <node>", "drop <reason>". It
-// allocates and is meant for logs and tests, not the fast path.
-func (d Decision) String() string {
-	switch d.Kind {
-	case Deliver:
-		return "deliver"
-	case Forward:
-		return fmt.Sprintf("forward %d", d.Next)
-	default:
-		return "drop " + d.Reason
-	}
-}
+// Decision is the dataplane's verdict on one datagram: the forwarding
+// kernel's own value (see netsim.HopDecision). Data may alias the input
+// buffer or a middlebox's own buffer; it is valid until the next Process
+// call on the same Dataplane.
+type Decision = netsim.HopDecision
