@@ -170,12 +170,14 @@ metrics:
 	$(GO) run ./cmd/tussle-bench -quiet -metrics /tmp/metrics.json >/dev/null
 
 # Short fuzz passes over the TIP decoder (safety invariants on arbitrary
-# bytes, then DecodeReuse-vs-DecodeFrom differential) and the chaos plan
-# parser (canonical-form round-trip). The regexps are anchored because
-# -fuzz must match exactly one target.
+# bytes, then DecodeReuse-vs-DecodeFrom differential), the middleboxes'
+# byte entry against their decoded-view entry, and the chaos plan parser
+# (canonical-form round-trip), among others. The regexps are anchored
+# because -fuzz must match exactly one target.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/packet
 	$(GO) test -fuzz='^FuzzDecodeReuse$$' -fuzztime=30s ./internal/packet
+	$(GO) test -fuzz='^FuzzMiddleboxView$$' -fuzztime=30s ./internal/middlebox
 	$(GO) test -fuzz='^FuzzFaultPlan$$' -fuzztime=30s ./internal/chaos
 	$(GO) test -fuzz='^FuzzShrinkRoundTrip$$' -fuzztime=30s ./internal/invariant
 	$(GO) test -fuzz='^FuzzCompileEval$$' -fuzztime=30s ./internal/policy

@@ -36,8 +36,15 @@ func (n *NAT) Silent() bool { return false }
 
 // Process implements netsim.Middlebox.
 func (n *NAT) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
-	if tip == nil || ttp == nil {
+	var tip packet.TIP
+	p := netsim.Packet{Data: data, TIP: netsim.DecodeTIP(data, &tip)}
+	return n.ProcessPacket(node, dir, &p)
+}
+
+// ProcessPacket implements netsim.PacketMiddlebox.
+func (n *NAT) ProcessPacket(node topology.NodeID, dir netsim.Direction, p *netsim.Packet) ([]byte, netsim.Verdict) {
+	tip, ttp := p.TIP, p.TTP()
+	if ttp == nil {
 		return nil, netsim.Accept
 	}
 	switch dir {
@@ -49,10 +56,7 @@ func (n *NAT) Process(node topology.NodeID, dir netsim.Direction, data []byte) (
 		ext := n.nextExt
 		n.nextExt++
 		n.ports[ext] = orig
-		out := rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) {
-			t.Src = n.Public
-			u.SrcPort = ext
-		})
+		out := rewrite(tip, ttp, n.Public, tip.Dst, ext)
 		if out == nil {
 			return nil, netsim.Accept
 		}
@@ -63,9 +67,7 @@ func (n *NAT) Process(node topology.NodeID, dir netsim.Direction, data []byte) (
 		if !ok {
 			return nil, netsim.Accept
 		}
-		out := rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) {
-			t.Dst = orig
-		})
+		out := rewrite(tip, ttp, tip.Src, orig, ttp.SrcPort)
 		if out == nil {
 			return nil, netsim.Accept
 		}
@@ -75,15 +77,15 @@ func (n *NAT) Process(node topology.NodeID, dir netsim.Direction, data []byte) (
 	return nil, netsim.Accept
 }
 
-// rewrite re-serializes a TIP/TTP packet after applying mutate. The
-// payload below TTP is preserved byte-for-byte.
-func rewrite(tip *packet.TIP, ttp *packet.TTP, mutate func(*packet.TIP, *packet.TTP)) []byte {
-	t2 := *tip
-	u2 := *ttp
-	mutate(&t2, &u2)
-	inner := make([]byte, len(ttp.LayerPayload()))
-	copy(inner, ttp.LayerPayload())
-	out, err := packet.Serialize(&t2, &u2, &packet.Raw{Data: inner})
+// rewrite re-serializes a TIP/TTP packet with the given source and
+// destination addresses and TTP source port, every other field as
+// decoded. The payload below TTP is preserved byte-for-byte. The output
+// bytes are its only allocation; it returns nil if the header does not
+// re-serialize.
+func rewrite(tip *packet.TIP, ttp *packet.TTP, src, dst packet.Addr, srcPort uint16) []byte {
+	t2, u2 := *tip, *ttp
+	t2.Src, t2.Dst, u2.SrcPort = src, dst, srcPort
+	out, err := packet.SerializeTTP(&t2, &u2, ttp.LayerPayload())
 	if err != nil {
 		return nil
 	}
@@ -113,11 +115,18 @@ func (r *Redirector) Silent() bool { return r.Quiet }
 
 // Process implements netsim.Middlebox.
 func (r *Redirector) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
-	if tip == nil || ttp == nil || ttp.DstPort != r.MatchPort || tip.Dst == r.To {
+	var tip packet.TIP
+	p := netsim.Packet{Data: data, TIP: netsim.DecodeTIP(data, &tip)}
+	return r.ProcessPacket(node, dir, &p)
+}
+
+// ProcessPacket implements netsim.PacketMiddlebox.
+func (r *Redirector) ProcessPacket(node topology.NodeID, dir netsim.Direction, p *netsim.Packet) ([]byte, netsim.Verdict) {
+	tip, ttp := p.TIP, p.TTP()
+	if ttp == nil || ttp.DstPort != r.MatchPort || tip.Dst == r.To {
 		return nil, netsim.Accept
 	}
-	out := rewrite(tip, ttp, func(t *packet.TIP, u *packet.TTP) { t.Dst = r.To })
+	out := rewrite(tip, ttp, tip.Src, r.To, ttp.SrcPort)
 	if out == nil {
 		return nil, netsim.Accept
 	}
@@ -153,7 +162,14 @@ func (w *Wiretap) Silent() bool { return true }
 
 // Process implements netsim.Middlebox.
 func (w *Wiretap) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
+	var tip packet.TIP
+	p := netsim.Packet{Data: data, TIP: netsim.DecodeTIP(data, &tip)}
+	return w.ProcessPacket(node, dir, &p)
+}
+
+// ProcessPacket implements netsim.PacketMiddlebox.
+func (w *Wiretap) ProcessPacket(node topology.NodeID, dir netsim.Direction, p *netsim.Packet) ([]byte, netsim.Verdict) {
+	tip := p.TIP
 	if tip == nil {
 		return nil, netsim.Accept
 	}
@@ -161,13 +177,13 @@ func (w *Wiretap) Process(node topology.NodeID, dir netsim.Direction, data []byt
 		return nil, netsim.Accept
 	}
 	readable := true
-	if ttp != nil && ttp.Next == packet.LayerTypeCrypto {
+	if ttp := p.TTP(); ttp != nil && ttp.Next == packet.LayerTypeCrypto {
 		readable = false
 	}
 	if tip.Proto == packet.LayerTypeCrypto {
 		readable = false
 	}
-	w.Captured = append(w.Captured, Capture{Src: tip.Src, Dst: tip.Dst, Readable: readable, Bytes: len(data)})
+	w.Captured = append(w.Captured, Capture{Src: tip.Src, Dst: tip.Dst, Readable: readable, Bytes: len(p.Data)})
 	return nil, netsim.Accept
 }
 
@@ -207,12 +223,19 @@ func (e *EncryptionBlocker) Silent() bool { return e.Quiet }
 
 // Process implements netsim.Middlebox.
 func (e *EncryptionBlocker) Process(node topology.NodeID, dir netsim.Direction, data []byte) ([]byte, netsim.Verdict) {
-	tip, ttp := decode(data, new(packet.TIP), new(packet.TTP))
+	var tip packet.TIP
+	p := netsim.Packet{Data: data, TIP: netsim.DecodeTIP(data, &tip)}
+	return e.ProcessPacket(node, dir, &p)
+}
+
+// ProcessPacket implements netsim.PacketMiddlebox.
+func (e *EncryptionBlocker) ProcessPacket(node topology.NodeID, dir netsim.Direction, p *netsim.Packet) ([]byte, netsim.Verdict) {
+	tip := p.TIP
 	if tip == nil {
 		return nil, netsim.Accept
 	}
 	var cryptoBytes []byte
-	if ttp != nil && ttp.Next == packet.LayerTypeCrypto {
+	if ttp := p.TTP(); ttp != nil && ttp.Next == packet.LayerTypeCrypto {
 		cryptoBytes = ttp.LayerPayload()
 	} else if tip.Proto == packet.LayerTypeCrypto {
 		cryptoBytes = tip.LayerPayload()
@@ -220,13 +243,8 @@ func (e *EncryptionBlocker) Process(node topology.NodeID, dir netsim.Direction, 
 	if cryptoBytes == nil {
 		return nil, netsim.Accept
 	}
-	if e.AllowInspectable {
-		var c packet.Crypto
-		if err := c.DecodeFrom(cryptoBytes); err == nil {
-			if _, err := c.InnerType(); err == nil {
-				return nil, netsim.Accept
-			}
-		}
+	if e.AllowInspectable && packet.InspectableCrypto(cryptoBytes) {
+		return nil, netsim.Accept
 	}
 	e.Hits++
 	return nil, netsim.Drop

@@ -100,6 +100,11 @@ type NodeView struct {
 	// OnMbox, when non-nil, observes each middlebox run in chain order,
 	// right after the device returns; rewrote reports a transform.
 	OnMbox func(node topology.NodeID, m Middlebox, rewrote bool)
+
+	// pkt is the view the middlebox chain classifies. It lives here, in
+	// storage the Network or Dataplane owns, so handing it to devices
+	// through an interface call allocates nothing.
+	pkt Packet
 }
 
 // HopDecision is the kernel's verdict on one packet at one node. It is a
@@ -155,17 +160,30 @@ func (v *NodeView) owns(a packet.Addr) bool { return topology.NodeID(uint32(a)>>
 // source-route admission and advance, then next-hop choice and the
 // adjacency check. tip must be data's decoded header; the kernel keeps
 // the two coherent, re-decoding after a rewrite and mirroring every
-// in-place byte patch into tip. dir is Forwarding for an arrival (the
-// kernel derives Delivering from the destination) or Sending for a
-// packet the node originates, which is never TTL-decremented and stays
-// Sending unless a rewrite makes it local.
+// in-place byte patch into tip, and the middlebox chain classifies tip
+// itself (through the view's Packet) instead of re-parsing data. dir is
+// Forwarding for an arrival (the kernel derives Delivering from the
+// destination) or Sending for a packet the node originates, which is
+// never TTL-decremented and stays Sending unless a rewrite makes it
+// local.
 func (v *NodeView) Decide(tip *packet.TIP, data []byte, dir Direction) HopDecision {
 	if dir != Sending && v.owns(tip.Dst) {
 		dir = Delivering
 	}
 	// Middlebox chain (single-pass: see the Middlebox interface comment).
+	// Devices with a decoded-view entry classify tip through the bound
+	// view; the rest get the bytes.
+	if len(v.Middleboxes) != 0 {
+		v.pkt.bind(data, tip)
+	}
 	for _, m := range v.Middleboxes {
-		out, verdict := m.Process(v.ID, dir, data)
+		var out []byte
+		var verdict Verdict
+		if pm, ok := m.(PacketMiddlebox); ok {
+			out, verdict = pm.ProcessPacket(v.ID, dir, &v.pkt)
+		} else {
+			out, verdict = m.Process(v.ID, dir, data)
+		}
 		if v.OnMbox != nil {
 			v.OnMbox(v.ID, m, verdict != Drop && out != nil)
 		}
@@ -180,6 +198,7 @@ func (v *NodeView) Decide(tip *packet.TIP, data []byte, dir Direction) HopDecisi
 			if err := tip.DecodeReuse(out); err != nil {
 				return drop(DropMalformedAfter, v.Reasons.malformedAfter.Key(m.Name()))
 			}
+			v.pkt.bind(out, tip)
 			if v.owns(tip.Dst) {
 				dir = Delivering
 			} else if dir == Delivering {

@@ -48,9 +48,9 @@ func optionPacket(t *testing.T) []byte {
 
 // TestDecodeReuseSurvivesHostileInterleaving is the pooling gate: a
 // scratch TIP alternating between malformed and option-bearing packets
-// must stay allocation-free. Without the error-path restore in decode(),
-// every malformed packet would strand the pooled option structs and
-// force the next good decode to allocate all three afresh.
+// must stay allocation-free. Were the option structs pooled only on the
+// exported fields, every malformed packet would strand them and force
+// the next good decode to allocate all three afresh.
 func TestDecodeReuseSurvivesHostileInterleaving(t *testing.T) {
 	good := optionPacket(t)
 
@@ -58,8 +58,7 @@ func TestDecodeReuseSurvivesHostileInterleaving(t *testing.T) {
 	// 1+4k: the option parser errors after the header sanity checks pass.
 	badSR := craftHeader(t, []byte{optSourceRoute, 8, 0, 0, 0, 0, 0, 0})
 	// Source route parses, then the payment option has an absurd length:
-	// the parser fails *after* rebinding the source-route struct, so only
-	// the unconsumed spares need restoring.
+	// the parser fails *after* rebinding the source-route struct.
 	badPay := craftHeader(t, []byte{
 		optSourceRoute, 7, 0, 0x00, 0x05, 0x00, 0x01, // ptr 0, one hop 5.1
 		optPayment, 4, 0, 0, // payment body must be 24 bytes, is 2

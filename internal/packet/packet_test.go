@@ -573,8 +573,11 @@ func TestDecodeReuseMatchesDecodeFrom(t *testing.T) {
 	if err := reused.DecodeReuse(withOpts); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh, reused) {
-		t.Fatalf("DecodeReuse diverged from DecodeFrom:\n%+v\nvs\n%+v", fresh, reused)
+	// The struct pool is DecodeReuse's private scratch, not decoded state.
+	decoded := reused
+	decoded.pool = tipOptions{}
+	if !reflect.DeepEqual(fresh, decoded) {
+		t.Fatalf("DecodeReuse diverged from DecodeFrom:\n%+v\nvs\n%+v", fresh, decoded)
 	}
 	// Re-decoding a packet without options must clear the option fields.
 	if err := reused.DecodeReuse(plain); err != nil {
@@ -610,5 +613,111 @@ func TestDecodeReuseRecyclesOptionStructs(t *testing.T) {
 	}
 	if tip.SourceRoute != sr || tip.Payment != pay || tip.Identity != id {
 		t.Fatal("DecodeReuse did not recycle the option structs")
+	}
+}
+
+// TestDecodeReuseKeepsStructsAcrossOptionFreePackets: a scratch TIP that
+// alternates between option-bearing and option-free packets — the mix a
+// forwarding engine sees — keeps recycling the option structs instead of
+// dropping them at each option-free packet.
+func TestDecodeReuseKeepsStructsAcrossOptionFreePackets(t *testing.T) {
+	routed, err := Serialize(
+		&TIP{TTL: 9, Proto: LayerTypeRaw, Src: MakeAddr(1, 1), Dst: MakeAddr(9, 2),
+			SourceRoute: &SourceRouteOption{Hops: []Addr{MakeAddr(3, 0), MakeAddr(4, 0)}},
+			Payment:     &PaymentOption{Payer: MakeAddr(1, 1), AmountMilli: 5},
+			Identity:    &IdentityOption{Scheme: IdentityCertified, ID: []byte("bob")}},
+		&Raw{Data: []byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Serialize(&TIP{TTL: 9, Proto: LayerTypeRaw, Src: MakeAddr(1, 1), Dst: MakeAddr(9, 2)}, &Raw{Data: []byte("y")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tip TIP
+	if err := tip.DecodeReuse(routed); err != nil {
+		t.Fatal(err)
+	}
+	sr, pay, id := tip.SourceRoute, tip.Payment, tip.Identity
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := tip.DecodeReuse(plain); err != nil || tip.SourceRoute != nil || tip.Payment != nil || tip.Identity != nil {
+			t.Fatalf("option-free packet decoded as %+v (%v)", tip, err)
+		}
+		if err := tip.DecodeReuse(routed); err != nil || len(tip.SourceRoute.Hops) != 2 || tip.Identity == nil || string(tip.Identity.ID) != "bob" {
+			t.Fatalf("routed packet decoded as %+v (%v)", tip, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("alternating DecodeReuse allocated %.1f per pair, want 0", allocs)
+	}
+	if tip.SourceRoute != sr || tip.Payment != pay || tip.Identity != id {
+		t.Fatal("DecodeReuse did not recycle the option structs")
+	}
+}
+
+// TestInspectableCryptoMatchesDecode: InspectableCrypto answers exactly
+// "DecodeFrom succeeds and InnerType reports no error", on sealed layers
+// of both kinds, every truncation of them, and arbitrary bytes.
+func TestInspectableCryptoMatchesDecode(t *testing.T) {
+	decodes := func(data []byte) bool {
+		var c Crypto
+		if c.DecodeFrom(data) != nil {
+			return false
+		}
+		_, err := c.InnerType()
+		return err == nil
+	}
+	var inputs [][]byte
+	for _, flags := range []uint8{0, CryptoInspectable, CryptoInspectable | 0x80} {
+		c := &Crypto{Flags: flags, Nonce: 3}
+		c.Seal([]byte("k"), []byte("a secret"), LayerTypeTTP)
+		layer, err := Serialize(c, &Raw{Data: []byte("tail")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= len(layer); n++ {
+			inputs = append(inputs, layer[:n])
+		}
+		leaky := append([]byte(nil), layer...)
+		leaky[1] = byte(LayerTypeRaw) // an opaque layer naming its inner type
+		inputs = append(inputs, leaky)
+	}
+	if err := quick.Check(func(data []byte) bool { return InspectableCrypto(data) == decodes(data) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range inputs {
+		if got, want := InspectableCrypto(data), decodes(data); got != want {
+			t.Fatalf("InspectableCrypto(%x) = %v, decode says %v", data, got, want)
+		}
+	}
+}
+
+// TestSerializeTTPMatchesSerialize: the single-allocation TIP+TTP
+// serializer writes the bytes the general one does, errors included.
+func TestSerializeTTPMatchesSerialize(t *testing.T) {
+	hops := func(n int) []Addr {
+		out := make([]Addr, n)
+		for i := range out {
+			out[i] = MakeAddr(uint16(i+1), 0)
+		}
+		return out
+	}
+	tips := []*TIP{
+		{TTL: 7, TOS: 3, Proto: LayerTypeTTP, Src: MakeAddr(1, 2), Dst: MakeAddr(3, 4)},
+		{TTL: 1, Proto: LayerTypeTTP, Src: MakeAddr(5, 6), Dst: MakeAddr(7, 8),
+			SourceRoute: &SourceRouteOption{Ptr: 1, Hops: hops(3)},
+			Payment:     &PaymentOption{Payer: MakeAddr(5, 6), AmountMilli: 9, MAC: 1},
+			Identity:    &IdentityOption{Scheme: IdentityPseudonym, ID: []byte("carol")}},
+		{TTL: 9, Proto: LayerTypeTTP, SourceRoute: &SourceRouteOption{Hops: hops(11)}}, // too many hops
+	}
+	ttp := &TTP{SrcPort: 40000, DstPort: 80, Seq: 7, Flags: FlagSYN, Next: LayerTypeRaw, Window: 3}
+	for _, tip := range tips {
+		for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("p"), 300)} {
+			want, wantErr := Serialize(tip, ttp, &Raw{Data: payload})
+			got, err := SerializeTTP(tip, ttp, payload)
+			if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("SerializeTTP = %x (%v), Serialize = %x (%v)", got, err, want, wantErr)
+			}
+		}
 	}
 }

@@ -94,3 +94,25 @@ func Serialize(layers ...SerializableLayer) ([]byte, error) {
 	copy(cp, out)
 	return cp, nil
 }
+
+// SerializeTTP serializes tip and ttp in front of payload into one new,
+// exactly sized slice: the bytes Serialize(tip, ttp, &Raw{Data: payload})
+// returns, for a single allocation — the layers are concrete, so they
+// stay on the caller's stack, and payload is copied once, straight into
+// place. A middlebox rewriting a header uses it.
+func SerializeTTP(tip *TIP, ttp *TTP, payload []byte) ([]byte, error) {
+	optLen, err := tip.optionsLen()
+	if err != nil {
+		return nil, err
+	}
+	n := tipMinHeader + optLen + ttpHeaderLen + len(payload)
+	b := SerializeBuffer{buf: make([]byte, n), start: n}
+	copy(b.Prepend(len(payload)), payload)
+	if err := ttp.SerializeTo(&b); err != nil {
+		return nil, err
+	}
+	if err := tip.SerializeTo(&b); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}

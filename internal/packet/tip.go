@@ -113,23 +113,30 @@ type TIP struct {
 	TTL      uint8
 	Proto    LayerType
 	Src, Dst Addr
+	// hlen is the decoded header length: LayerContents is raw[:hlen],
+	// LayerPayload raw[hlen:]. (One view and a length, rather than two
+	// views, keep TIP at its size with the option pool below.)
+	hlen uint8
 
 	SourceRoute *SourceRouteOption
 	Payment     *PaymentOption
 	Identity    *IdentityOption
 
-	contents []byte
-	payload  []byte
+	// raw is the decoded datagram through its total length.
+	raw []byte
+	// pool holds the option structs DecodeReuse has allocated on this
+	// TIP; every later DecodeReuse binds these instead of allocating.
+	pool tipOptions
 }
 
 // LayerType implements Layer.
 func (t *TIP) LayerType() LayerType { return LayerTypeTIP }
 
 // LayerContents implements Layer.
-func (t *TIP) LayerContents() []byte { return t.contents }
+func (t *TIP) LayerContents() []byte { return t.raw[:t.hlen] }
 
 // LayerPayload implements Layer.
-func (t *TIP) LayerPayload() []byte { return t.payload }
+func (t *TIP) LayerPayload() []byte { return t.raw[t.hlen:] }
 
 // NextLayerType implements DecodingLayer.
 func (t *TIP) NextLayerType() LayerType { return t.Proto }
@@ -141,11 +148,13 @@ func (t *TIP) DecodeFrom(data []byte) error {
 }
 
 // DecodeReuse decodes like DecodeFrom but recycles the option structs
-// (SourceRoute, Payment, Identity) already attached to t, including the
-// source-route hop slice and identity byte slice, so steady-state
-// re-decodes on a forwarding fast path are allocation-free. Callers must
-// not retain pointers to t's options across calls: the structs are
-// overwritten in place by the next DecodeReuse.
+// (SourceRoute, Payment, Identity) earlier DecodeReuse calls allocated on
+// t, including the source-route hop slice and identity byte slice. t
+// keeps them across packets that lack an option, so steady-state
+// re-decodes on a forwarding fast path are allocation-free whatever mix
+// of options the packets carry. Callers must not retain pointers to t's
+// options across calls: the structs are overwritten in place by a later
+// DecodeReuse. (Structs DecodeFrom attached are never recycled.)
 //
 // Aliasing contract for pooled buffers: the option structs never alias
 // data — hops and identity bytes are copied out — but LayerContents and
@@ -184,48 +193,31 @@ func (t *TIP) decode(data []byte, reuse bool) error {
 	t.Proto = LayerType(data[5])
 	t.Src = getAddr(data[8:])
 	t.Dst = getAddr(data[12:])
-	var spare tipOptions
-	if reuse {
-		spare = tipOptions{sr: t.SourceRoute, pay: t.Payment, id: t.Identity}
-	}
 	t.SourceRoute = nil
 	t.Payment = nil
 	t.Identity = nil
-	if err := t.decodeOptions(data[tipMinHeader:hlen], spare); err != nil {
-		// A hostile packet must not bleed the option pool: any spare
-		// struct the failed parse did not rebind returns to the scratch
-		// TIP, so the next DecodeReuse stays allocation-free. (Without
-		// this, alternating malformed and option-bearing packets on a
-		// wire feed would force a fresh allocation per good packet.)
+	if err := t.decodeOptions(data[tipMinHeader:hlen], reuse); err != nil {
 		// After an error the exported fields are unspecified; callers
 		// must treat the TIP as scratch until the next successful decode.
-		if reuse {
-			if t.SourceRoute == nil {
-				t.SourceRoute = spare.sr
-			}
-			if t.Payment == nil {
-				t.Payment = spare.pay
-			}
-			if t.Identity == nil {
-				t.Identity = spare.id
-			}
-		}
 		return err
 	}
-	t.contents = data[:hlen]
-	t.payload = data[hlen:total]
+	t.raw = data[:total]
+	t.hlen = uint8(hlen)
 	return nil
 }
 
-// tipOptions carries option structs from a prior decode that
-// decodeOptions may overwrite in place instead of allocating anew.
+// tipOptions is a TIP's pool of option structs: each is allocated by
+// the first DecodeReuse that needs it and overwritten in place by every
+// later one. The pool only grows, so neither a packet without options
+// nor a hostile one bleeds it: alternating option-free or malformed
+// packets with option-bearing ones on a wire feed costs no allocation.
 type tipOptions struct {
 	sr  *SourceRouteOption
 	pay *PaymentOption
 	id  *IdentityOption
 }
 
-func (t *TIP) decodeOptions(opts []byte, spare tipOptions) error {
+func (t *TIP) decodeOptions(opts []byte, reuse bool) error {
 	for len(opts) > 0 {
 		kind := opts[0]
 		switch kind {
@@ -248,9 +240,12 @@ func (t *TIP) decodeOptions(opts []byte, spare tipOptions) error {
 			if len(body) < 1 || (len(body)-1)%4 != 0 {
 				return errOptSourceRoute
 			}
-			sr := spare.sr
-			if sr == nil {
+			sr := t.pool.sr
+			if !reuse || sr == nil {
 				sr = &SourceRouteOption{}
+				if reuse {
+					t.pool.sr = sr
+				}
 			}
 			sr.Ptr = body[0]
 			sr.Hops = sr.Hops[:0]
@@ -265,9 +260,12 @@ func (t *TIP) decodeOptions(opts []byte, spare tipOptions) error {
 			if len(body) != 24 {
 				return errOptPaymentLen
 			}
-			pay := spare.pay
-			if pay == nil {
+			pay := t.pool.pay
+			if !reuse || pay == nil {
 				pay = &PaymentOption{}
+				if reuse {
+					t.pool.pay = pay
+				}
 			}
 			*pay = PaymentOption{
 				Payer:       getAddr(body),
@@ -281,9 +279,12 @@ func (t *TIP) decodeOptions(opts []byte, spare tipOptions) error {
 			if len(body) < 1 || len(body) > 17 {
 				return errOptIdentityLen
 			}
-			opt := spare.id
-			if opt == nil {
+			opt := t.pool.id
+			if !reuse || opt == nil {
 				opt = &IdentityOption{}
+				if reuse {
+					t.pool.id = opt
+				}
 			}
 			opt.Scheme = body[0]
 			if opt.ID == nil {

@@ -237,17 +237,37 @@ func TestProcessZeroAllocWithPolicy(t *testing.T) {
 // steady-state mix must not allocate, or the engine's per-packet path
 // regresses — the same discipline as netsim's TestForwardHopZeroAlloc.
 // It is pinned at 0 allocs both without middleboxes (forward, deliver,
-// malformed) and through a chain of devices that classify without
-// rewriting: a port firewall accepting one packet and dropping another,
-// a redirector whose port does not match, and a wiretap whose MatchSrc
-// misses. A rewrite (a redirector hit) or a wiretap capture may still
-// allocate: it builds new bytes or grows the capture log.
+// malformed) and through a chain of devices that classify the kernel's
+// decoded header without rewriting: a port firewall accepting one packet
+// and dropping another, a redirector whose port does not match, a
+// wiretap whose MatchSrc misses, and an enabled path impairment that
+// drops one segment — with a source-routed packet in the mix, whose
+// option structs a device re-parsing the bytes would allocate. A rewrite
+// (a redirector hit) or a wiretap capture may still allocate: it builds
+// new bytes or grows the capture log.
 func TestProcessZeroAlloc(t *testing.T) {
 	type pkt struct {
 		data []byte
 		want string
 	}
 	src := packet.MakeAddr(1, 1)
+	impair := &PathImpairment{PathID: 2}
+	impair.SetEnabled(true)
+	srcRouted, err := packet.Serialize(&packet.TIP{
+		TTL: 64, Proto: packet.LayerTypeRaw, Src: packet.MakeAddr(4, 1), Dst: packet.MakeAddr(1, 9),
+		SourceRoute: &packet.SourceRouteOption{Hops: []packet.Addr{packet.MakeAddr(3, 1)}},
+		Payment:     &packet.PaymentOption{Payer: packet.MakeAddr(4, 1), AmountMilli: 5},
+	}, &packet.Raw{Data: []byte("route me")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onPath2, err := packet.Serialize(
+		&packet.TIP{TTL: 64, Proto: packet.LayerTypeTTP, Src: src, Dst: packet.MakeAddr(4, 1)},
+		&packet.TTP{SrcPort: 4000, DstPort: 7777, Window: 2, Next: packet.LayerTypeRaw},
+		&packet.Raw{Data: []byte("path 2")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		mboxes []netsim.Middlebox
@@ -262,10 +282,13 @@ func TestProcessZeroAlloc(t *testing.T) {
 			&middlebox.PortFirewall{Label: "fw", BlockedPorts: map[uint16]bool{25: true}},
 			&middlebox.Redirector{Label: "redir", MatchPort: 8080, To: packet.MakeAddr(2, 99)},
 			&middlebox.Wiretap{Label: "tap", MatchSrc: 9},
+			impair,
 		}, []pkt{
 			{ttpPkt(t, packet.TIP{TTL: 64, Src: src, Dst: packet.MakeAddr(4, 1)}, 443, "accept me"), "forward 3"},
 			{ttpPkt(t, packet.TIP{TTL: 64, Src: src, Dst: packet.MakeAddr(4, 1)}, 25, "block me"), "drop blocked:fw"},
 			{rawPkt(t, src, packet.MakeAddr(2, 9), 64, "deliver me"), "deliver"},
+			{srcRouted, "forward 3"},
+			{onPath2, "drop lost"},
 		}},
 	}
 	for _, c := range cases {
